@@ -39,6 +39,7 @@ from .qes_core import (
     VariableMap,
     ansatz_params,
     canonical_operator,
+    case_frequency,
     case_lambdas,
     coulomb_strength,
     derive_constants,
@@ -87,7 +88,7 @@ __all__ = [
     "__version__",
     # core types and constants
     "ParticlePair", "DerivedConstants", "derive_constants",
-    "CouplingTag", "CouplingCase", "case_lambdas",
+    "CouplingTag", "CouplingCase", "case_lambdas", "case_frequency",
     "effective_radial_problem", "effective_frequency",
     "FamilyI", "FamilyII", "FamilyIII", "PotentialSpec", "coulomb_strength",
     "AnsatzParams", "ansatz_params", "VariableMap", "QESBlock", "qes_block",

@@ -32,6 +32,7 @@ from .qes_core import (
     PotentialSpec,
     QesError,
     ansatz_params,
+    case_frequency,
     case_lambdas,
     derive_constants,
 )
@@ -416,12 +417,12 @@ def _print_table(lines: Sequence[SpectrumLine], out) -> None:
 # Commands
 
 
-def _solve_lines(cfg: RunConfig, variants: PaperVariants, jobs: int,
+def _solve_lines(cfg: RunConfig, variants: PaperVariants,
                  pot: Optional[PotentialSpec] = None):
     consts = derive_constants(cfg.pair)
     job = SpectrumJob(pot=pot if pot is not None else cfg.pot, consts=consts,
                       tag=cfg.tag, d_list=cfg.d_list, s_list=cfg.s_list,
-                      variants=variants, jobs=jobs)
+                      variants=variants)
     lines, issues = assemble_spectrum(job)
     lines = sorted(lines, key=lambda ln: (ln.family, ln.d, ln.s,
                                           ln.branch_index,
@@ -429,10 +430,10 @@ def _solve_lines(cfg: RunConfig, variants: PaperVariants, jobs: int,
     return lines, issues, consts
 
 
-def run_solve(cfg: RunConfig, variants: PaperVariants, jobs: int,
+def run_solve(cfg: RunConfig, variants: PaperVariants,
               out_path: Optional[str], out_format: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    lines, issues, _ = _solve_lines(cfg, variants, jobs)
+    lines, issues, _ = _solve_lines(cfg, variants)
     for msg in issues:
         print(f"note: {msg}", file=sys.stderr)
     if not lines:
@@ -455,11 +456,11 @@ def _oracle_grid(cfg: RunConfig) -> Optional[RadialGrid]:
                       points=cfg.oracle_points, spacing=GridSpacing.UNIFORM)
 
 
-def run_verify(cfg: RunConfig, variants: PaperVariants, jobs: int,
+def run_verify(cfg: RunConfig, variants: PaperVariants,
                out_path: Optional[str], out_format: str,
                out=None) -> int:
     out = out if out is not None else sys.stdout
-    lines, issues, consts = _solve_lines(cfg, variants, jobs)
+    lines, issues, consts = _solve_lines(cfg, variants)
     for msg in issues:
         print(f"note: {msg}", file=sys.stderr)
     if not lines:
@@ -498,7 +499,7 @@ def run_verify(cfg: RunConfig, variants: PaperVariants, jobs: int,
     return 0 if all_pass else 1
 
 
-def run_scan(cfg: RunConfig, variants: PaperVariants, jobs: int,
+def run_scan(cfg: RunConfig, variants: PaperVariants,
              out_path: Optional[str], out_format: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     if cfg.scan is None:
@@ -515,7 +516,7 @@ def run_scan(cfg: RunConfig, variants: PaperVariants, jobs: int,
     for value in values:
         pot_v = replace(cfg.pot, **{spec.parameter: value})
         try:
-            lines, _, _ = _solve_lines(cfg, variants, jobs, pot=pot_v)
+            lines, _, _ = _solve_lines(cfg, variants, pot=pot_v)
         except QesError:
             lines = []
         seen = set()
@@ -557,13 +558,13 @@ def _match_selector(line: SpectrumLine, selector: dict) -> bool:
     return True
 
 
-def run_export(cfg: RunConfig, variants: PaperVariants, jobs: int,
+def run_export(cfg: RunConfig, variants: PaperVariants,
                out_path: Optional[str], out_format: str,
                out=None) -> int:
     out = out if out is not None else sys.stdout
     if cfg.export is None:
         raise ConfigError("export: section required for the export command")
-    lines, _, consts = _solve_lines(cfg, variants, jobs)
+    lines, _, consts = _solve_lines(cfg, variants)
     matches = [ln for ln in lines if _match_selector(ln, cfg.export.selector)]
     if not matches:
         raise QesError(f"export.selector: no line matches "
@@ -577,9 +578,8 @@ def run_export(cfg: RunConfig, variants: PaperVariants, jobs: int,
         pot_eff = cfg.pot
     else:
         pot_eff = replace(cfg.pot, l2=line.quantized_value)
-        ratio = 8.0 if tag is CouplingTag.CHARGED_EC0 else 2.0
         case = case_lambdas(tag, consts,
-                            math.sqrt(ratio * cfg.pot.k2 / consts.m_r))
+                            case_frequency(tag, consts, cfg.pot.k2))
     ansatz = ansatz_params(pot_eff, case, consts, line.s, line.d)
     wf = wavefn.RadialWavefunction(family=line.family, ansatz=ansatz,
                                    poly_physical=line.poly)
@@ -621,7 +621,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in ("solve", "verify", "scan", "export"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--debug-paper-variants", action="store_true")
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"))
@@ -634,7 +633,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_format = args.format if args.format else cfg.out_format
         runner = {"solve": run_solve, "verify": run_verify,
                   "scan": run_scan, "export": run_export}[args.command]
-        return runner(cfg, variants, args.jobs, out_path, out_format)
+        return runner(cfg, variants, out_path, out_format)
     except QesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ from .qes_core import (
     FamilyIII,
     PotentialSpec,
     ansatz_params,
+    case_frequency,
     case_lambdas,
 )
 from .wavefn import RadialWavefunction
@@ -325,9 +326,7 @@ def cross_validate(line,
         pot_eff = pot
     else:
         pot_eff = replace(pot, l2=line.quantized_value)
-        ratio = 8.0 if tag is CouplingTag.CHARGED_EC0 else 2.0
-        omega = math.sqrt(ratio * pot.k2 / consts.m_r)
-        case = case_lambdas(tag, consts, omega)
+        case = case_lambdas(tag, consts, case_frequency(tag, consts, pot.k2))
     ansatz = ansatz_params(pot_eff, case, consts, line.s, line.d)
     wf = RadialWavefunction(family=line.family, ansatz=ansatz,
                             poly_physical=line.poly)

@@ -47,12 +47,14 @@ __all__ = [
     "CouplingCase",
     "effective_radial_problem",
     "case_lambdas",
+    "case_frequency",
     "FamilyI",
     "FamilyII",
     "FamilyIII",
     "PotentialSpec",
     "AnsatzParams",
     "ansatz_params",
+    "family_i_scales",
     "VariableMap",
     "QESBlock",
     "qes_block",
@@ -163,19 +165,34 @@ class CouplingCase:
     lambda_conf: float
 
 
+# lambda_conf = m_r * omega_param^2 / ratio in each coupling case.
+_CONF_RATIO = {CouplingTag.CHARGED_EC0: 8.0, CouplingTag.NEUTRAL_REST: 2.0}
+
+
 def case_lambdas(tag: CouplingTag, consts: DerivedConstants,
                  omega_param: float) -> CouplingCase:
     """Radial coefficients at an arbitrary value of the case frequency.
 
     ``omega_param`` is omega_c for the charged case and Omega_q for the
     neutral one; for the latter the rotation frequency is
-    omega_q = 2 |mu2 - mu1| Omega_q.
+    omega_q = 2 |mu2 - mu1| Omega_q.  Works elementwise on an ndarray.
     """
+    lambda_conf = consts.m_r * omega_param ** 2 / _CONF_RATIO[tag]
     if tag is CouplingTag.CHARGED_EC0:
-        return CouplingCase(tag, omega_param, consts.m_r * omega_param ** 2 / 8.0)
-    Omega = omega_param
-    omega_q = 2.0 * abs(consts.mu2 - consts.mu1) * Omega
-    return CouplingCase(tag, omega_q, consts.m_r * Omega ** 2 / 2.0)
+        return CouplingCase(tag, omega_param, lambda_conf)
+    omega_q = 2.0 * abs(consts.mu2 - consts.mu1) * omega_param
+    return CouplingCase(tag, omega_q, lambda_conf)
+
+
+def case_frequency(tag: CouplingTag, consts: DerivedConstants,
+                   lambda_conf: float) -> float:
+    """Case frequency at which case_lambdas yields confinement ``lambda_conf``.
+
+    omega_c = sqrt(8 lambda_conf / m_r) for the charged case and
+    Omega_q = sqrt(2 lambda_conf / m_r) for the neutral one.  A potential
+    term k2 rho^2 acts as lambda_conf = k2, which is how k2 fixes the field.
+    """
+    return math.sqrt(_CONF_RATIO[tag] * lambda_conf / consts.m_r)
 
 
 def effective_radial_problem(consts: DerivedConstants, tag: CouplingTag,
@@ -312,6 +329,22 @@ def _xi_from(s: int, theta: float, m_r: float) -> float:
     return math.sqrt(radicand)
 
 
+def family_i_scales(pot: FamilyI, m_r: float, lambda_conf):
+    """FamilyI ansatz scales (tau, eta, c, beta) at confinement ``lambda_conf``.
+
+    16 tau^2 = m_r^2 omega_eff^2 + 8 k2 m_r with omega_eff from lambda_conf,
+    eta = k1 m_r / (2 tau), c = 2 sqrt(tau) and beta = 2 eta / c.  Works on a
+    float or elementwise on an ndarray; where the radicand is not positive
+    (Gaussian decay lost) every scale is NaN.
+    """
+    radicand = 8.0 * m_r * lambda_conf + 8.0 * pot.k2 * m_r
+    tau = np.sqrt(np.where(radicand > 0.0, radicand, np.nan)) / 4.0
+    eta = pot.k1 * m_r / (2.0 * tau)
+    c = 2.0 * np.sqrt(tau)
+    beta = 2.0 * eta / c
+    return tau, eta, c, beta
+
+
 def ansatz_params(pot: PotentialSpec, case: CouplingCase, consts: DerivedConstants,
                   s: int, d: int) -> AnsatzParams:
     """Substitution parameters for one family, coupling case and block size.
@@ -324,16 +357,13 @@ def ansatz_params(pot: PotentialSpec, case: CouplingCase, consts: DerivedConstan
         raise DomainError(f"polynomial degree must be >= 0, got {d}")
     m_r = consts.m_r
     if isinstance(pot, FamilyI):
-        # 16 tau^2 = m_r^2 omega_eff^2 + 8 k2 m_r, with omega_eff from lambda_conf.
-        radicand = 8.0 * m_r * case.lambda_conf + 8.0 * pot.k2 * m_r
-        if radicand <= 0.0:
+        tau, eta, c, beta = (float(v) for v in
+                             family_i_scales(pot, m_r, case.lambda_conf))
+        if not tau > 0.0:
             raise DomainError(
-                f"m_r^2 omega^2 + 8 k2 m_r = {radicand} <= 0: Gaussian decay lost")
-        tau = math.sqrt(radicand) / 4.0
-        eta = pot.k1 * m_r / (2.0 * tau)
+                f"m_r^2 omega^2 + 8 k2 m_r <= 0 at lambda_conf = "
+                f"{case.lambda_conf}, k2 = {pot.k2}: Gaussian decay lost")
         xi = _xi_from(s, pot.theta, m_r)
-        c = 2.0 * math.sqrt(tau)
-        beta = 2.0 * eta / c
         return AnsatzParams(family="I", tau=tau, eta=eta, xi=xi,
                             alpha=1.0 + 2.0 * xi + d / 2.0, beta=beta, c=c,
                             d=d, s=s, normalizable=tau > 0.0)

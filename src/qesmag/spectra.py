@@ -17,11 +17,11 @@ conventions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import wavefn
 from .qes_core import (
@@ -30,6 +30,7 @@ from .qes_core import (
     CouplingTag,
     DerivedConstants,
     DomainError,
+    FallToCentreError,
     FamilyI,
     FamilyII,
     FamilyIII,
@@ -37,9 +38,13 @@ from .qes_core import (
     PotentialSpec,
     QESBlock,
     QesError,
+    _xi_from,
     ansatz_params,
+    block_entries,
+    case_frequency,
     case_lambdas,
     coulomb_strength,
+    family_i_scales,
     qes_block,
 )
 
@@ -150,24 +155,59 @@ def _field_name(tag: CouplingTag) -> str:
     return "omega_c" if tag is CouplingTag.CHARGED_EC0 else "Omega_q"
 
 
-def _residual_all_branches(pot: FamilyI, consts: DerivedConstants,
-                           tag: CouplingTag, s: int, d: int, omega: float):
-    """Residual eps + eta(1+2xi) + c*mu per branch, with its atom scale.
+def _family_i_branches(d: int, xi: float, beta: np.ndarray) -> np.ndarray:
+    """Block eigenvalues of family I for every beta in a 1-d array, (N, d+1).
 
-    Returns (residual array, scale array) or None when omega leaves the
-    admissible domain (lost Gaussian decay).  The scale sums the magnitudes
-    of the three residual atoms and sets the yardstick for deciding that a
-    branch vanishes identically rather than merely crossing zero.
+    The block is M(0) + beta * diag(slope) with both parts taken from
+    block_entries.  Its off-diagonal products M[k+1,k] M[k,k+1] =
+    (d-k)(k+1)(k+1+2 xi) are positive, so M is similar to the symmetric
+    tridiagonal matrix with off-diagonal sqrt(M[k+1,k] M[k,k+1]); one stacked
+    eigvalsh returns every eigenvalue real and in ascending order.
     """
+    m0 = np.array(block_entries("I", d, beta=0.0, xi=xi))
+    m1 = np.array(block_entries("I", d, beta=1.0, xi=xi))
+    slope = np.diag(m1) - np.diag(m0)
+    k = np.arange(d)
+    off = np.sqrt(m0[k + 1, k] * m0[k, k + 1])
+    stack = np.zeros((beta.size, d + 1, d + 1))
+    stack[:, k + 1, k] = off
+    stack[:, k, k + 1] = off
+    diag = np.arange(d + 1)
+    stack[:, diag, diag] = beta[:, None] * slope
+    return np.linalg.eigvalsh(stack)
+
+
+def _residual_grid(pot: FamilyI, consts: DerivedConstants, tag: CouplingTag,
+                   s: int, d: int, omegas):
+    """Residual eps + eta(1+2xi) + c*mu of every branch at every omega.
+
+    Returns (residuals, scales).  residuals has shape (N, d+1) for N fields,
+    with NaN rows where omega leaves the admissible domain (lost Gaussian
+    decay; every row when the inverse-square term falls to the centre).
+    scales[b] is the largest sum of the magnitudes of the three residual
+    atoms over the admissible fields (0 if there are none); it sets the
+    yardstick for deciding that a branch vanishes identically rather than
+    merely crossing zero.
+    """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    residuals = np.full((omegas.size, d + 1), np.nan)
+    scales = np.zeros(d + 1)
     try:
-        case = case_lambdas(tag, consts, omega)
-        a = ansatz_params(pot, case, consts, s, d)
-    except DomainError:
-        return None
-    mus = _sorted_eigvals(qes_block(a).matrix).real
+        xi = _xi_from(s, pot.theta, consts.m_r)
+    except FallToCentreError:
+        return residuals, scales
+    case = case_lambdas(tag, consts, omegas)
+    _, eta, c, beta = family_i_scales(pot, consts.m_r, case.lambda_conf)
+    ok = np.isfinite(beta)
+    if not ok.any():
+        return residuals, scales
+    mus = _family_i_branches(d, xi, beta[ok])
     eps = coulomb_strength(consts, pot)
-    drift = a.eta * (1.0 + 2.0 * a.xi)
-    return eps + drift + a.c * mus, abs(eps) + abs(drift) + a.c * np.abs(mus)
+    drift = (eta[ok] * (1.0 + 2.0 * xi))[:, None]
+    c = c[ok][:, None]
+    residuals[ok] = eps + drift + c * mus
+    scales = (abs(eps) + np.abs(drift) + c * np.abs(mus)).max(axis=0)
+    return residuals, scales
 
 
 def quantization_residual_I(omega: float, pot: FamilyI, consts: DerivedConstants,
@@ -176,10 +216,10 @@ def quantization_residual_I(omega: float, pot: FamilyI, consts: DerivedConstants
     """Scalar residual whose zero in omega makes branch ``branch_index`` exact."""
     if not 0 <= branch_index <= d:
         raise DomainError(f"branch index {branch_index} outside 0..{d}")
-    out = _residual_all_branches(pot, consts, tag, s, d, omega)
-    if out is None:
+    value = _residual_grid(pot, consts, tag, s, d, omega)[0][0, branch_index]
+    if np.isnan(value):
         raise DomainError(f"omega = {omega} outside the admissible domain")
-    return float(out[0][branch_index])
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -209,9 +249,7 @@ def _omega_floor(pot: FamilyI, consts: DerivedConstants, tag: CouplingTag) -> fl
     # Radicand of tau: 8 m_r lambda_conf(omega) + 8 k2 m_r > 0.
     if pot.k2 >= 0.0:
         return 0.0
-    if tag is CouplingTag.CHARGED_EC0:
-        return math.sqrt(-8.0 * pot.k2 / consts.m_r)
-    return math.sqrt(-2.0 * pot.k2 / consts.m_r)
+    return case_frequency(tag, consts, -pot.k2)
 
 
 def solve_quantized_field_I(pot: FamilyI, consts: DerivedConstants, s: int, d: int,
@@ -233,17 +271,19 @@ def solve_quantized_field_I(pot: FamilyI, consts: DerivedConstants, s: int, d: i
     Returns
     -------
     SolveResultI
-        Roots found by log-grid bracketing plus bisection (relative width
-        1e-12), branches whose residual vanishes identically (every field
+        Roots found by bracketing sign changes on a log grid of fields and
+        refining each bracket with Brent's method (relative width 1e-12),
+        branches whose residual vanishes identically (every field
         admissible, reported separately instead of as fake roots), and
         human-readable warnings.
 
     Notes
     -----
-    The branch label is the rank of the eigenvalue in the (Re, Im) order.
-    For this family the block is similar to a symmetric tridiagonal matrix,
-    so eigenvalues are real and simple and the sorted curves are continuous
-    in omega; bracketing per sorted index is therefore sound.
+    The branch label is the rank of the eigenvalue in ascending order.  For
+    this family the block is similar to a symmetric tridiagonal matrix, so
+    the whole grid is one stacked symmetric eigensolve whose eigenvalues are
+    real by construction; they are simple and the sorted curves are
+    continuous in omega, so bracketing per sorted index is sound.
     """
     scale = _omega_scale(pot, consts)
     lo = 10.0 ** (-SCAN_DECADES) * scale
@@ -255,39 +295,30 @@ def solve_quantized_field_I(pot: FamilyI, consts: DerivedConstants, s: int, d: i
             return SolveResultI((), (), (f"admissible window empty above omega "
                                          f"floor {floor}",))
     grid = np.geomspace(lo, hi, SCAN_POINTS)
-    values = np.full((SCAN_POINTS, d + 1), np.nan)
-    scale_res = np.zeros(d + 1)
-    for i, w in enumerate(grid):
-        out = _residual_all_branches(pot, consts, tag, s, d, float(w))
-        if out is None:
-            continue
-        values[i] = out[0]
-        scale_res = np.maximum(scale_res, out[1])
+    values, scale_res = _residual_grid(pot, consts, tag, s, d, grid)
     roots: list[FieldRoot] = []
     degenerate: list[int] = []
     warnings: list[str] = []
     for b in range(d + 1):
         col = values[:, b]
-        finite = np.isfinite(col)
-        if not finite.any():
+        if not np.isfinite(col).any():
             warnings.append(f"branch {b}: residual undefined on the whole scan")
             continue
         if np.nanmax(np.abs(col)) <= 1e-11 * (scale_res[b] + 1.0):
             degenerate.append(b)
             continue
-        for i in range(SCAN_POINTS - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            r0, r1 = col[i], col[i + 1]
-            if r0 == 0.0:
-                if i == 0 or not finite[i - 1] or col[i - 1] != 0.0:
-                    roots.append(FieldRoot(float(grid[i]), b, _mu_at(
-                        pot, consts, tag, s, d, float(grid[i]), b)))
-                continue
-            if r0 * r1 < 0.0:
-                w = _bisect_branch(pot, consts, tag, s, d, b,
-                                   float(grid[i]), float(grid[i + 1]), r0)
-                roots.append(FieldRoot(w, b, _mu_at(pot, consts, tag, s, d, w, b)))
+        head, tail = col[:-1], col[1:]
+        # a grid point that is an exact zero is a root unless the point
+        # before it was one too; NaN compares unequal to zero
+        exact = (head == 0.0) & np.isfinite(tail)
+        exact[1:] &= head[:-1] != 0.0
+        for i in np.nonzero(exact)[0]:
+            w = float(grid[i])
+            roots.append(FieldRoot(w, b, _mu_at(pot, consts, tag, s, d, w, b)))
+        for i in np.nonzero(head * tail < 0.0)[0]:
+            w = _refine_root(pot, consts, tag, s, d, b,
+                             float(grid[i]), float(grid[i + 1]))
+            roots.append(FieldRoot(w, b, _mu_at(pot, consts, tag, s, d, w, b)))
     roots.sort(key=lambda r: (r.omega, r.branch_index))
     return SolveResultI(tuple(roots), tuple(degenerate), tuple(warnings))
 
@@ -297,21 +328,16 @@ def _mu_at(pot, consts, tag, s, d, omega, branch_index) -> float:
     return float(_sorted_eigvals(qes_block(a).matrix).real[branch_index])
 
 
-def _bisect_branch(pot, consts, tag, s, d, branch_index, lo, hi, f_lo) -> float:
-    # The admissible omega set is a half-line, so every midpoint between two
-    # admissible endpoints is admissible and the residual stays defined.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= BISECT_RTOL * hi:
-            break
-        f_mid = _residual_all_branches(pot, consts, tag, s, d, mid)[0][branch_index]
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+def _refine_root(pot, consts, tag, s, d, branch_index, lo, hi) -> float:
+    # The admissible omega set is a half-line, so the whole bracket between
+    # two admissible grid points is admissible and the residual stays
+    # defined.  brentq's default xtol is absolute (2e-12) and would swamp
+    # roots far below 1; the tiny xtol leaves the relative width test.
+    def residual(omega):
+        return _residual_grid(pot, consts, tag, s, d, omega)[0][0, branch_index]
+
+    return brentq(residual, lo, hi, xtol=np.finfo(float).tiny,
+                  rtol=BISECT_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +384,7 @@ def solve_constraints_III(pot: FamilyIII, consts: DerivedConstants, s: int, d: i
     if pot.k2 <= 0.0:
         raise DomainError(
             f"k2 must be positive to fix the field, got k2 = {pot.k2}")
-    if tag is CouplingTag.CHARGED_EC0:
-        omega = math.sqrt(8.0 * pot.k2 / consts.m_r)
-    else:
-        omega = math.sqrt(2.0 * pot.k2 / consts.m_r)
+    omega = case_frequency(tag, consts, pot.k2)
     case = case_lambdas(tag, consts, omega)
     a = ansatz_params(pot, case, consts, s, d)
     if not 0 <= branch_index <= d:
@@ -437,7 +460,6 @@ class SpectrumJob:
     d_list: tuple[int, ...]
     s_list: tuple[int, ...]
     variants: PaperVariants = PaperVariants()
-    jobs: int = 1
 
 
 def _finish_line(tag, ansatz, branch, quantized_name, quantized_value, energy,
@@ -535,19 +557,14 @@ def assemble_spectrum(job: SpectrumJob) -> tuple[list[SpectrumLine], list[str]]:
 
     Returns (lines, issues).  Lines are sorted by energy (ties broken by
     family, d, s, branch); per-cell failures are reported as issue strings
-    and never abort the remaining cells.  Cells are independent, so a thread
-    pool is used when job.jobs > 1; the result is identical either way.
+    and never abort the remaining cells.
     """
-    cells = [(d, s) for d in job.d_list for s in job.s_list]
-    if job.jobs > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=job.jobs) as pool:
-            results = list(pool.map(lambda c: _cell_lines(job, *c), cells))
-    else:
-        results = [_cell_lines(job, d, s) for d, s in cells]
     lines: list[SpectrumLine] = []
     issues: list[str] = []
-    for cell_lines, cell_issues in results:
-        lines.extend(cell_lines)
-        issues.extend(cell_issues)
+    for d in job.d_list:
+        for s in job.s_list:
+            cell_lines, cell_issues = _cell_lines(job, d, s)
+            lines.extend(cell_lines)
+            issues.extend(cell_issues)
     lines.sort(key=lambda ln: (ln.E_rho, ln.family, ln.d, ln.s, ln.branch_index))
     return lines, issues
