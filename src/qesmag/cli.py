@@ -24,6 +24,7 @@ from . import oracle as oracle_mod
 from . import wavefn
 from .oracle import GridSpacing, RadialGrid
 from .qes_core import (
+    AdmissibilityError,
     CouplingTag,
     FamilyI,
     FamilyII,
@@ -31,12 +32,11 @@ from .qes_core import (
     ParticlePair,
     PotentialSpec,
     QesError,
-    ansatz_params,
-    case_frequency,
-    case_lambdas,
     derive_constants,
+    effective_radial_problem,
 )
-from .spectra import PaperVariants, SpectrumJob, SpectrumLine, assemble_spectrum
+from .spectra import (PaperVariants, SpectrumJob, SpectrumLine,
+                      assemble_spectrum, line_problem)
 
 __all__ = [
     "ConfigError",
@@ -190,6 +190,10 @@ def load_config(path: str) -> RunConfig:
         tag = CouplingTag(case_name)
     except ValueError:
         raise ConfigError(f"case: unknown case {case_name!r}") from None
+    try:
+        effective_radial_problem(derive_constants(pair), tag)
+    except AdmissibilityError as exc:
+        raise ConfigError(f"case: {exc}") from None
     pot = _build_potential(_get(raw, "potential", "config", required=True),
                            pair)
     d_list = _int_list(_get(raw, "d_list", "config", required=True), "d_list")
@@ -572,15 +576,7 @@ def run_export(cfg: RunConfig, variants: PaperVariants,
     line = matches[0]
     if not line.real_branch:
         raise QesError("export.selector: selected branch is not real")
-    tag = CouplingTag(line.case)
-    if line.family in ("I", "II"):
-        case = case_lambdas(tag, consts, line.quantized_value)
-        pot_eff = cfg.pot
-    else:
-        pot_eff = replace(cfg.pot, l2=line.quantized_value)
-        case = case_lambdas(tag, consts,
-                            case_frequency(tag, consts, cfg.pot.k2))
-    ansatz = ansatz_params(pot_eff, case, consts, line.s, line.d)
+    _, _, ansatz = line_problem(line, cfg.pot, consts)
     wf = wavefn.RadialWavefunction(family=line.family, ansatz=ansatz,
                                    poly_physical=line.poly)
     norm = None

@@ -25,18 +25,13 @@ from scipy.linalg import eigh_tridiagonal
 
 from .qes_core import (
     CouplingCase,
-    CouplingTag,
     DerivedConstants,
     DomainError,
     FallToCentreError,
-    FamilyI,
-    FamilyII,
     FamilyIII,
     PotentialSpec,
-    ansatz_params,
-    case_frequency,
-    case_lambdas,
 )
+from .spectra import line_problem
 from .wavefn import RadialWavefunction
 
 __all__ = [
@@ -115,9 +110,7 @@ class OracleReport:
 
 
 def _potential_callable(pot) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(pot, "evaluate"):
-        return np.vectorize(pot.evaluate, otypes=[float])
-    return pot
+    return pot.evaluate if hasattr(pot, "evaluate") else pot
 
 
 def discretize(pot: Union[PotentialSpec, Callable[[float], float]],
@@ -290,12 +283,6 @@ def ode_residual(wf: RadialWavefunction,
     return float(np.max(defect / floor))
 
 
-def _ladder_energy(pot, s, consts, case, grid, target, k) -> float:
-    system = discretize(pot, s, consts, case, grid)
-    vals = oracle_eigenvalues(system, k)
-    return min(vals, key=lambda v: abs(v - target))
-
-
 def cross_validate(line,
                    pot: PotentialSpec,
                    consts: DerivedConstants,
@@ -303,13 +290,11 @@ def cross_validate(line,
                    points: int = 2048) -> OracleReport:
     """Validate one spectrum line against the finite-volume solver.
 
-    The coupling case is reconstructed from the line itself: for the first
-    two families the quantized value is the field, so the rotational and
-    confinement couplings are rebuilt from it; for the third the field is
-    fixed by the potential and the quantized value replaces the rho^-2
-    strength.  Energies are then computed on a three-grid ladder (points,
-    2x, 4x), Richardson-extrapolated at second order, and compared with the
-    line energy.
+    The coupling case is reconstructed from the line itself
+    (spectra.line_problem).  Energies are then computed on a three-grid
+    ladder (points, 2x, 4x), Richardson-extrapolated at second order, and
+    compared with the line energy; the finest rung's eigenvalues are the
+    reported energies.
 
     Returns
     -------
@@ -320,14 +305,7 @@ def cross_validate(line,
     """
     if not line.real_branch or not line.normalizable:
         raise DomainError("cross-validation needs a real normalizable line")
-    tag = CouplingTag(line.case)
-    if line.family in ("I", "II"):
-        case = case_lambdas(tag, consts, line.quantized_value)
-        pot_eff = pot
-    else:
-        pot_eff = replace(pot, l2=line.quantized_value)
-        case = case_lambdas(tag, consts, case_frequency(tag, consts, pot.k2))
-    ansatz = ansatz_params(pot_eff, case, consts, line.s, line.d)
+    pot_eff, case, ansatz = line_problem(line, pot, consts)
     wf = RadialWavefunction(family=line.family, ansatz=ansatz,
                             poly_physical=line.poly)
     residual = ode_residual(wf, pot_eff, consts, case, line.E_rho)
@@ -336,11 +314,10 @@ def cross_validate(line,
     if grid is None:
         grid = default_grid(pot_eff, consts, case, line.s, target, points)
     k = max(6, line.nodes + 4)
-    ladder = [grid,
-              replace(grid, points=2 * grid.points),
-              replace(grid, points=4 * grid.points)]
-    e1, e2, e3 = (_ladder_energy(pot_eff, line.s, consts, case, g, target, k)
-                  for g in ladder)
+    ladder = [replace(grid, points=m * grid.points) for m in (1, 2, 4)]
+    rungs = [oracle_eigenvalues(discretize(pot_eff, line.s, consts, case, g), k)
+             for g in ladder]
+    e1, e2, e3 = (min(vals, key=lambda v: abs(v - target)) for vals in rungs)
     extrapolated = e3 + (e3 - e2) / 3.0
     d12, d23 = e1 - e2, e2 - e3
     order = math.log2(abs(d12 / d23)) if d12 != 0.0 and d23 != 0.0 else \
@@ -349,10 +326,8 @@ def cross_validate(line,
     gap = extrapolated - target
     rel_gap = abs(gap) / scale
     window_ok = abs(e3 - target) <= MATCH_WINDOW * scale
-    finest = discretize(pot_eff, line.s, consts, case, ladder[-1])
-    energies = tuple(oracle_eigenvalues(finest, k))
     passed = window_ok and rel_gap < PASS_GAP and residual < PASS_RESIDUAL
-    return OracleReport(energies=energies,
+    return OracleReport(energies=tuple(rungs[-1]),
                         matched_line=(gap, rel_gap) if window_ok else None,
                         residual_max=residual,
                         grid_convergence=(order, rel_gap),

@@ -100,15 +100,10 @@ def generator_matrices(space: RepSpace) -> GeneratorTriple:
     return GeneratorTriple(up, down, weight)
 
 
-def _doubled_int_matrix(mat: np.ndarray) -> "np.ndarray | None":
-    """2*mat as int64 when every entry is a half-integer, else None."""
-    out = np.empty(mat.shape, dtype=np.int64)
-    for idx, entry in np.ndenumerate(mat):
-        doubled = Fraction(entry) * 2
-        if doubled.denominator != 1:
-            return None
-        out[idx] = doubled.numerator
-    return out
+def _doubled_int_matrix(mat: np.ndarray) -> np.ndarray:
+    """2*mat as int64; generator entries are half-integers, so this is exact."""
+    doubled = [int(2 * Fraction(entry)) for entry in mat.flat]
+    return np.array(doubled, dtype=np.int64).reshape(mat.shape)
 
 
 def commutator_defect(space: RepSpace) -> Fraction:
@@ -116,34 +111,19 @@ def commutator_defect(space: RepSpace) -> Fraction:
 
     Checks [weight, raise] - raise, [weight, lower] + lower and
     [raise, lower] - 2*weight in exact arithmetic; the result is zero for
-    every dimension if the matrices are correct.
+    every dimension if the matrices are correct.  Doubling makes every entry
+    an integer, the commutators of the doubled matrices are 4x the
+    originals, and each entry is a single product of at most (2 dim)^2, far
+    inside the int64 range.
     """
-    up, down, weight = generator_matrices(space).as_tuple()
-    if space.dim <= 50000:
-        # all entries are half-integers, so doubling makes the whole check
-        # exact integer arithmetic; commutators of doubled matrices are 4x
-        # the originals and products stay far below the int64 range
-        doubled = tuple(_doubled_int_matrix(m) for m in (up, down, weight))
-        if all(m is not None for m in doubled):
-            u2, d2, w2 = doubled
-            scaled = (
-                w2 @ u2 - u2 @ w2 - 2 * u2,
-                w2 @ d2 - d2 @ w2 + 2 * d2,
-                u2 @ d2 - d2 @ u2 - 4 * w2,
-            )
-            worst = max(int(np.abs(mat).max()) for mat in scaled)
-            return Fraction(worst, 4)
-    defects = (
-        weight @ up - up @ weight - up,
-        weight @ down - down @ weight + down,
-        up @ down - down @ up - 2 * weight,
+    u2, d2, w2 = (_doubled_int_matrix(m)
+                  for m in generator_matrices(space).as_tuple())
+    scaled = (
+        w2 @ u2 - u2 @ w2 - 2 * u2,
+        w2 @ d2 - d2 @ w2 + 2 * d2,
+        u2 @ d2 - d2 @ u2 - 4 * w2,
     )
-    worst = Fraction(0)
-    for mat in defects:
-        for entry in mat.flat:
-            if abs(entry) > worst:
-                worst = abs(entry)
-    return worst
+    return Fraction(max(int(np.abs(mat).max()) for mat in scaled), 4)
 
 
 def quadratic_form_matrix(a: Sequence[Sequence[Coeff]], b: Sequence[Coeff],

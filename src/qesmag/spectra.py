@@ -17,8 +17,8 @@ conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -62,6 +62,7 @@ __all__ = [
     "solve_constraints_III",
     "relative_energy",
     "SpectrumLine",
+    "line_problem",
     "SpectrumJob",
     "assemble_spectrum",
 ]
@@ -131,20 +132,11 @@ def block_eigenvalues(block: QESBlock) -> list[BranchEigen]:
     return out
 
 
-def eigenpairs(block: QESBlock, left: bool = False):
-    """Eigenvalues with right (and optionally left) eigenvectors.
-
-    Columns are ordered like block_eigenvalues.  Left eigenvectors are rows
-    of the inverse transposed problem, i.e. eig of the transpose.
-    """
+def eigenpairs(block: QESBlock):
+    """Eigenvalues with right eigenvectors, columns ordered like block_eigenvalues."""
     vals, vecs = np.linalg.eig(block.matrix)
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-    if not left:
-        return vals, vecs
-    lvals, lvecs = np.linalg.eig(block.matrix.T)
-    lorder = np.lexsort((lvals.imag, lvals.real))
-    return vals, vecs, lvecs[:, lorder]
+    return vals[order], vecs[:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -155,59 +147,60 @@ def _field_name(tag: CouplingTag) -> str:
     return "omega_c" if tag is CouplingTag.CHARGED_EC0 else "Omega_q"
 
 
-def _family_i_branches(d: int, xi: float, beta: np.ndarray) -> np.ndarray:
-    """Block eigenvalues of family I for every beta in a 1-d array, (N, d+1).
+def _cell_residual(pot: FamilyI, consts: DerivedConstants, tag: CouplingTag,
+                   s: int, d: int):
+    """Residual eps + eta(1+2xi) + c*mu of every branch of one (d, s) cell.
+
+    Returns a function mapping N fields to (residuals, scales).  residuals
+    has shape (N, d+1), with NaN rows where omega leaves the admissible
+    domain (lost Gaussian decay; every row when the inverse-square term
+    falls to the centre).  scales[b] is the largest sum of the magnitudes of
+    the three residual atoms over the admissible fields (0 if there are
+    none); it sets the yardstick for deciding that a branch vanishes
+    identically rather than merely crossing zero.
 
     The block is M(0) + beta * diag(slope) with both parts taken from
-    block_entries.  Its off-diagonal products M[k+1,k] M[k,k+1] =
-    (d-k)(k+1)(k+1+2 xi) are positive, so M is similar to the symmetric
+    block_entries once per cell.  Its off-diagonal products M[k+1,k] M[k,k+1]
+    = (d-k)(k+1)(k+1+2 xi) are positive, so M is similar to the symmetric
     tridiagonal matrix with off-diagonal sqrt(M[k+1,k] M[k,k+1]); one stacked
     eigvalsh returns every eigenvalue real and in ascending order.
     """
-    m0 = np.array(block_entries("I", d, beta=0.0, xi=xi))
-    m1 = np.array(block_entries("I", d, beta=1.0, xi=xi))
-    slope = np.diag(m1) - np.diag(m0)
-    k = np.arange(d)
-    off = np.sqrt(m0[k + 1, k] * m0[k, k + 1])
-    stack = np.zeros((beta.size, d + 1, d + 1))
-    stack[:, k + 1, k] = off
-    stack[:, k, k + 1] = off
-    diag = np.arange(d + 1)
-    stack[:, diag, diag] = beta[:, None] * slope
-    return np.linalg.eigvalsh(stack)
-
-
-def _residual_grid(pot: FamilyI, consts: DerivedConstants, tag: CouplingTag,
-                   s: int, d: int, omegas):
-    """Residual eps + eta(1+2xi) + c*mu of every branch at every omega.
-
-    Returns (residuals, scales).  residuals has shape (N, d+1) for N fields,
-    with NaN rows where omega leaves the admissible domain (lost Gaussian
-    decay; every row when the inverse-square term falls to the centre).
-    scales[b] is the largest sum of the magnitudes of the three residual
-    atoms over the admissible fields (0 if there are none); it sets the
-    yardstick for deciding that a branch vanishes identically rather than
-    merely crossing zero.
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    residuals = np.full((omegas.size, d + 1), np.nan)
-    scales = np.zeros(d + 1)
     try:
         xi = _xi_from(s, pot.theta, consts.m_r)
     except FallToCentreError:
+        xi = None
+    else:
+        m0 = np.array(block_entries("I", d, beta=0.0, xi=xi))
+        m1 = np.array(block_entries("I", d, beta=1.0, xi=xi))
+        slope = np.diag(m1) - np.diag(m0)
+        k = np.arange(d)
+        off = np.sqrt(m0[k + 1, k] * m0[k, k + 1])
+        diag = np.arange(d + 1)
+        eps = coulomb_strength(consts, pot)
+
+    def residual(omegas):
+        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        residuals = np.full((omegas.size, d + 1), np.nan)
+        scales = np.zeros(d + 1)
+        if xi is None:
+            return residuals, scales
+        case = case_lambdas(tag, consts, omegas)
+        _, eta, c, beta = family_i_scales(pot, consts.m_r, case.lambda_conf)
+        ok = np.isfinite(beta)
+        if not ok.any():
+            return residuals, scales
+        stack = np.zeros((int(ok.sum()), d + 1, d + 1))
+        stack[:, k + 1, k] = off
+        stack[:, k, k + 1] = off
+        stack[:, diag, diag] = beta[ok][:, None] * slope
+        mus = np.linalg.eigvalsh(stack)
+        drift = (eta[ok] * (1.0 + 2.0 * xi))[:, None]
+        c = c[ok][:, None]
+        residuals[ok] = eps + drift + c * mus
+        scales = (abs(eps) + np.abs(drift) + c * np.abs(mus)).max(axis=0)
         return residuals, scales
-    case = case_lambdas(tag, consts, omegas)
-    _, eta, c, beta = family_i_scales(pot, consts.m_r, case.lambda_conf)
-    ok = np.isfinite(beta)
-    if not ok.any():
-        return residuals, scales
-    mus = _family_i_branches(d, xi, beta[ok])
-    eps = coulomb_strength(consts, pot)
-    drift = (eta[ok] * (1.0 + 2.0 * xi))[:, None]
-    c = c[ok][:, None]
-    residuals[ok] = eps + drift + c * mus
-    scales = (abs(eps) + np.abs(drift) + c * np.abs(mus)).max(axis=0)
-    return residuals, scales
+
+    return residual
 
 
 def quantization_residual_I(omega: float, pot: FamilyI, consts: DerivedConstants,
@@ -216,7 +209,7 @@ def quantization_residual_I(omega: float, pot: FamilyI, consts: DerivedConstants
     """Scalar residual whose zero in omega makes branch ``branch_index`` exact."""
     if not 0 <= branch_index <= d:
         raise DomainError(f"branch index {branch_index} outside 0..{d}")
-    value = _residual_grid(pot, consts, tag, s, d, omega)[0][0, branch_index]
+    value = _cell_residual(pot, consts, tag, s, d)(omega)[0][0, branch_index]
     if np.isnan(value):
         raise DomainError(f"omega = {omega} outside the admissible domain")
     return float(value)
@@ -295,7 +288,8 @@ def solve_quantized_field_I(pot: FamilyI, consts: DerivedConstants, s: int, d: i
             return SolveResultI((), (), (f"admissible window empty above omega "
                                          f"floor {floor}",))
     grid = np.geomspace(lo, hi, SCAN_POINTS)
-    values, scale_res = _residual_grid(pot, consts, tag, s, d, grid)
+    residual = _cell_residual(pot, consts, tag, s, d)
+    values, scale_res = residual(grid)
     roots: list[FieldRoot] = []
     degenerate: list[int] = []
     warnings: list[str] = []
@@ -316,8 +310,7 @@ def solve_quantized_field_I(pot: FamilyI, consts: DerivedConstants, s: int, d: i
             w = float(grid[i])
             roots.append(FieldRoot(w, b, _mu_at(pot, consts, tag, s, d, w, b)))
         for i in np.nonzero(head * tail < 0.0)[0]:
-            w = _refine_root(pot, consts, tag, s, d, b,
-                             float(grid[i]), float(grid[i + 1]))
+            w = _refine_root(residual, b, float(grid[i]), float(grid[i + 1]))
             roots.append(FieldRoot(w, b, _mu_at(pot, consts, tag, s, d, w, b)))
     roots.sort(key=lambda r: (r.omega, r.branch_index))
     return SolveResultI(tuple(roots), tuple(degenerate), tuple(warnings))
@@ -328,16 +321,13 @@ def _mu_at(pot, consts, tag, s, d, omega, branch_index) -> float:
     return float(_sorted_eigvals(qes_block(a).matrix).real[branch_index])
 
 
-def _refine_root(pot, consts, tag, s, d, branch_index, lo, hi) -> float:
+def _refine_root(residual, branch_index, lo, hi) -> float:
     # The admissible omega set is a half-line, so the whole bracket between
     # two admissible grid points is admissible and the residual stays
     # defined.  brentq's default xtol is absolute (2e-12) and would swamp
     # roots far below 1; the tiny xtol leaves the relative width test.
-    def residual(omega):
-        return _residual_grid(pot, consts, tag, s, d, omega)[0][0, branch_index]
-
-    return brentq(residual, lo, hi, xtol=np.finfo(float).tiny,
-                  rtol=BISECT_RTOL)
+    return brentq(lambda omega: residual(omega)[0][0, branch_index], lo, hi,
+                  xtol=np.finfo(float).tiny, rtol=BISECT_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +452,49 @@ class SpectrumJob:
     variants: PaperVariants = PaperVariants()
 
 
-def _finish_line(tag, ansatz, branch, quantized_name, quantized_value, energy,
-                 degenerate=False) -> SpectrumLine:
-    block = qes_block(ansatz)
+def line_problem(line, pot: PotentialSpec, consts: DerivedConstants):
+    """(pot_eff, case, ansatz) of the radial problem a spectrum line solves.
+
+    For the first two families the quantized value is the field, so the
+    rotational and confinement couplings are rebuilt from it; for the third
+    the field is fixed by k2 and the quantized value replaces the rho^-2
+    strength l2.
+    """
+    tag = CouplingTag(line.case)
+    if line.family in ("I", "II"):
+        pot_eff = pot
+        case = case_lambdas(tag, consts, line.quantized_value)
+    else:
+        pot_eff = replace(pot, l2=line.quantized_value)
+        case = case_lambdas(tag, consts, case_frequency(tag, consts, pot.k2))
+    return pot_eff, case, ansatz_params(pot_eff, case, consts, line.s, line.d)
+
+
+class _Level(NamedTuple):
+    case: CouplingCase
+    block: QESBlock
+    branches: list[BranchEigen]
+
+
+def _level(job: SpectrumJob, d: int, s: int, field: float) -> _Level:
+    """Case, block and branch eigenvalues of one cell at one case frequency.
+
+    The ansatz of family III does not depend on l2, so one level serves
+    every branch of a family-III cell.
+    """
+    case = case_lambdas(job.tag, job.consts, field)
+    block = qes_block(ansatz_params(job.pot, case, job.consts, s, d))
+    return _Level(case, block, block_eigenvalues(block))
+
+
+def _finish_line(job: SpectrumJob, level: _Level, branch_index: int,
+                 quantized_name: str, quantized_value: float,
+                 degenerate: bool = False) -> SpectrumLine:
+    case, block, branches = level
+    ansatz = block.ansatz
+    branch = branches[branch_index]
+    energy = relative_energy(ansatz, case, job.consts, branch.mu.real,
+                             job.variants)
     real = branch.is_real
     nodes = -1
     poly: tuple[float, ...] = ()
@@ -473,13 +503,13 @@ def _finish_line(tag, ansatz, branch, quantized_name, quantized_value, energy,
         poly = wf.poly_physical
         nodes = wavefn.count_nodes(wf)
     else:
-        vec = np.abs(eigenpairs(block)[1][:, branch.branch_index])
+        vec = np.abs(eigenpairs(block)[1][:, branch_index])
         poly = tuple(float(v) for v in vec / max(vec.max(), 1e-300))
     nu = branch.nu if branch.nu is not None else (
         ansatz.beta * ansatz.d / 2.0 - branch.mu.real)
     return SpectrumLine(
-        family=ansatz.family, case=tag.value, d=ansatz.d, s=ansatz.s,
-        branch_index=branch.branch_index, quantized_name=quantized_name,
+        family=ansatz.family, case=job.tag.value, d=ansatz.d, s=ansatz.s,
+        branch_index=branch_index, quantized_name=quantized_name,
         quantized_value=quantized_value, E_rho=energy, nu=float(nu),
         mu=float(branch.mu.real), poly=poly, real_branch=real,
         normalizable=bool(ansatz.normalizable and real), nodes=nodes,
@@ -496,24 +526,17 @@ def _cell_lines(job: SpectrumJob, d: int, s: int) -> tuple[list[SpectrumLine], l
             result = solve_quantized_field_I(pot, consts, s, d, tag)
             issues.extend(f"d={d} s={s}: {w}" for w in result.warnings)
             for root in result.roots:
-                case = case_lambdas(tag, consts, root.omega)
-                a = ansatz_params(pot, case, consts, s, d)
-                branch = block_eigenvalues(qes_block(a))[root.branch_index]
-                energy = relative_energy(a, case, consts, branch.mu.real,
-                                         job.variants)
-                lines.append(_finish_line(tag, a, branch, name, root.omega, energy))
+                level = _level(job, d, s, root.omega)
+                lines.append(_finish_line(job, level, root.branch_index, name,
+                                          root.omega))
             if result.degenerate_branches:
                 base = (consts.omega_c if tag is CouplingTag.CHARGED_EC0
                         else consts.Omega_q)
                 if base > 0.0:
-                    case = case_lambdas(tag, consts, base)
-                    a = ansatz_params(pot, case, consts, s, d)
-                    eig = block_eigenvalues(qes_block(a))
-                    for b in result.degenerate_branches:
-                        energy = relative_energy(a, case, consts,
-                                                 eig[b].mu.real, job.variants)
-                        lines.append(_finish_line(tag, a, eig[b], name, base,
-                                                  energy, degenerate=True))
+                    level = _level(job, d, s, base)
+                    lines.extend(_finish_line(job, level, b, name, base,
+                                              degenerate=True)
+                                 for b in result.degenerate_branches)
                 else:
                     issues.append(
                         f"d={d} s={s}: branches {list(result.degenerate_branches)} "
@@ -521,16 +544,15 @@ def _cell_lines(job: SpectrumJob, d: int, s: int) -> tuple[list[SpectrumLine], l
         elif isinstance(pot, FamilyII):
             for omega in solve_quantized_field_II(pot, consts, s, d, tag,
                                                   job.variants):
-                case = case_lambdas(tag, consts, omega)
-                a = ansatz_params(pot, case, consts, s, d)
-                for branch in block_eigenvalues(qes_block(a)):
+                level = _level(job, d, s, omega)
+                for branch in level.branches:
                     if not branch.is_real:
                         issues.append(f"d={d} s={s} branch {branch.branch_index}: "
                                       f"complex eigenvalue {branch.mu}")
-                    energy = relative_energy(a, case, consts, branch.mu.real,
-                                             job.variants)
-                    lines.append(_finish_line(tag, a, branch, name, omega, energy))
+                    lines.append(_finish_line(job, level, branch.branch_index,
+                                              name, omega))
         elif isinstance(pot, FamilyIII):
+            level = None
             for b in range(d + 1):
                 try:
                     omega, l2 = solve_constraints_III(pot, consts, s, d, b, tag,
@@ -538,12 +560,9 @@ def _cell_lines(job: SpectrumJob, d: int, s: int) -> tuple[list[SpectrumLine], l
                 except DomainError as exc:
                     issues.append(f"d={d} s={s} branch {b}: {exc}")
                     continue
-                case = case_lambdas(tag, consts, omega)
-                a = ansatz_params(pot, case, consts, s, d)
-                branch = block_eigenvalues(qes_block(a))[b]
-                energy = relative_energy(a, case, consts, branch.mu.real,
-                                         job.variants)
-                lines.append(_finish_line(tag, a, branch, "l2", l2, energy))
+                if level is None:
+                    level = _level(job, d, s, omega)
+                lines.append(_finish_line(job, level, b, "l2", l2))
         else:
             issues.append(f"d={d} s={s}: unknown potential family "
                           f"{type(pot).__name__}")

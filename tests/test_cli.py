@@ -191,6 +191,22 @@ def test_solve_exit_one_on_bad_pair(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair,case,needle", [
+    ("{m1: 1.0, m2: 3.0, e1: 1.0, e2: 1.0}", "charged_ec0", "e_c = 0.5"),
+    ("{m1: 1.0, m2: 1.0, e1: 1.0, e2: 1.0}", "neutral_rest", "q = 2"),
+])
+def test_solve_rejects_inadmissible_coupling_case(tmp_path, capsys, pair,
+                                                  case, needle):
+    text = COULOMB_YAML.replace("{m1: 1.0, m2: 1.0, e1: 1.0, e2: 1.0}", pair)
+    text = text.replace("case: charged_ec0", f"case: {case}")
+    code = main(["solve", "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: case: ")
+    assert needle in captured.err
+
+
 def test_solve_writes_output_file(tmp_path, capsys):
     out_file = tmp_path / "levels.csv"
     code = main(["solve", "--config", _write(tmp_path, COULOMB_YAML),

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qesmag import oracle
 from qesmag.oracle import (
     GridSpacing,
     RadialGrid,
@@ -322,3 +323,20 @@ def test_cross_validate_honors_explicit_grid():
     report = cross_validate(line, pot, consts, grid=grid)
     assert report.passed
     assert report.energies[0] == pytest.approx(0.0, abs=1e-5)
+
+def test_cross_validate_discretizes_each_rung_once(monkeypatch):
+    consts = _pair(2.0)
+    pot = FamilyII(k6=0.5, k2=-4.0)
+    line = _single_line(pot, consts, 0)
+    systems = []
+    original = oracle.discretize
+
+    def counted(*args):
+        systems.append(original(*args))
+        return systems[-1]
+
+    monkeypatch.setattr(oracle, "discretize", counted)
+    report = cross_validate(line, pot, consts, points=512)
+    assert [sys.grid.points for sys in systems] == [512, 1024, 2048]
+    finest = oracle_eigenvalues(systems[-1], len(report.energies))
+    assert report.energies == tuple(finest)

@@ -18,6 +18,7 @@ from qesmag.qes_core import (
     gauge_rotated_operator,
     qes_block,
 )
+from qesmag import spectra
 from qesmag.sl2_rep import apply_diff_operator
 from qesmag.spectra import (
     PaperVariants,
@@ -457,3 +458,44 @@ def test_assemble_reports_node_counts_within_degree():
             assert 0 <= ln.nodes <= ln.d
             # polynomial of every real line is scaled to a unit top coefficient
             assert ln.poly[-1] == pytest.approx(1.0, abs=1e-12)
+
+def _count_blocks(monkeypatch, job):
+    """Lines of a job and the number of qes_block calls made to assemble them."""
+    calls = []
+    original = spectra.qes_block
+
+    def counted(ansatz):
+        calls.append(ansatz)
+        return original(ansatz)
+
+    monkeypatch.setattr(spectra, "qes_block", counted)
+    lines, issues = assemble_spectrum(job)
+    assert lines, issues
+    return lines, len(calls)
+
+
+def test_assemble_builds_two_blocks_per_family_i_root(monkeypatch):
+    # one in the hunt for FieldRoot.mu, one for the level itself
+    job = SpectrumJob(pot=FamilyI(g_c=1.0, k1=0.3, k2=0.5), consts=_consts(),
+                      tag=CHARGED, d_list=(1, 2, 3), s_list=(0, 1))
+    lines, blocks = _count_blocks(monkeypatch, job)
+    assert not any(ln.all_omega_degenerate for ln in lines)
+    assert blocks == 2 * len(lines)
+
+
+def test_assemble_builds_one_block_per_family_ii_field(monkeypatch):
+    job = SpectrumJob(pot=FamilyII(k6=0.5, k2=-30.0), consts=_consts(m1=2.0),
+                      tag=CHARGED, d_list=(3,), s_list=(0,))
+    lines, blocks = _count_blocks(monkeypatch, job)
+    assert len(lines) == 4
+    assert blocks == 1
+
+
+def test_assemble_builds_d_plus_two_blocks_per_family_iii_cell(monkeypatch):
+    # one per branch in solve_constraints_III, one for the whole cell
+    job = SpectrumJob(pot=FamilyIII(l1=-1.0, l4=0.5, k2=1.0),
+                      consts=_consts(m1=2.0), tag=CHARGED, d_list=(2,),
+                      s_list=(0,))
+    lines, blocks = _count_blocks(monkeypatch, job)
+    assert len(lines) == 3
+    assert blocks == 2 + 2
