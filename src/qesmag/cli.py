@@ -551,15 +551,19 @@ def run_scan(cfg: RunConfig, variants: PaperVariants,
     return 0 if found_any else 2
 
 
+_SELECTOR_KEYS = ("family", "d", "s", "branch")
+
+
 def _match_selector(line: SpectrumLine, selector: dict) -> bool:
-    mapping = {"family": line.family, "d": line.d, "s": line.s,
-               "branch": line.branch_index}
-    for key, want in selector.items():
-        if key not in mapping:
-            raise ConfigError(f"export.selector.{key}: unknown selector key")
-        if mapping[key] != want:
-            return False
-    return True
+    mapping = dict(zip(_SELECTOR_KEYS,
+                       (line.family, line.d, line.s, line.branch_index)))
+    return all(mapping[key] == want for key, want in selector.items())
+
+
+def _selected(values: tuple[int, ...], selector: dict,
+              key: str) -> tuple[int, ...]:
+    """The values of a config's d or s list that a selector can match."""
+    return tuple(v for v in values if key not in selector or selector[key] == v)
 
 
 def run_export(cfg: RunConfig, variants: PaperVariants,
@@ -568,11 +572,19 @@ def run_export(cfg: RunConfig, variants: PaperVariants,
     out = out if out is not None else sys.stdout
     if cfg.export is None:
         raise ConfigError("export: section required for the export command")
-    lines, _, consts = _solve_lines(cfg, variants)
-    matches = [ln for ln in lines if _match_selector(ln, cfg.export.selector)]
+    selector = cfg.export.selector
+    for key in selector:
+        if key not in _SELECTOR_KEYS:
+            raise ConfigError(f"export.selector.{key}: unknown selector key")
+    # cells are solved independently, so only the cells the selector names
+    # can hold its line
+    cells = replace(cfg, d_list=_selected(cfg.d_list, selector, "d"),
+                    s_list=_selected(cfg.s_list, selector, "s"))
+    lines, _, consts = _solve_lines(cells, variants)
+    matches = [ln for ln in lines if _match_selector(ln, selector)]
     if not matches:
         raise QesError(f"export.selector: no line matches "
-                       f"{cfg.export.selector}")
+                       f"{selector}")
     line = matches[0]
     if not line.real_branch:
         raise QesError("export.selector: selected branch is not real")

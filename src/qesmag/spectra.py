@@ -44,6 +44,7 @@ from .qes_core import (
     case_frequency,
     case_lambdas,
     coulomb_strength,
+    effective_radial_problem,
     family_i_scales,
     qes_block,
 )
@@ -576,8 +577,10 @@ def assemble_spectrum(job: SpectrumJob) -> tuple[list[SpectrumLine], list[str]]:
 
     Returns (lines, issues).  Lines are sorted by energy (ties broken by
     family, d, s, branch); per-cell failures are reported as issue strings
-    and never abort the remaining cells.
+    and never abort the remaining cells.  A job whose pair violates its
+    coupling case raises AdmissibilityError before any cell is solved.
     """
+    effective_radial_problem(job.consts, job.tag)
     lines: list[SpectrumLine] = []
     issues: list[str] = []
     for d in job.d_list:

@@ -3,16 +3,16 @@
 zeta(rho) = exp(g(rho)) * rho^xi * p(rho) with the family ansatz exponent g
 and a polynomial p recovered from a block eigenvector.  Everything works on
 the physical variable: scaled eigenvector entries are unscaled through
-u = c*rho (or u = c*rho^2), and node counting runs an exact Sturm chain on
-the binary-rational image of the coefficients, so no node is ever gained or
-lost to rounding.
+u = c*rho (or u = c*rho^2).  Node counting is exact: every float
+coefficient is a dyadic rational, so one power of two scales the polynomial
+to integer coefficients, and a Sturm chain of content-reduced integer
+pseudo-remainders counts its positive roots with no rounding at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -174,95 +174,69 @@ def normalize(wf: RadialWavefunction, epsrel: float = 1e-11) -> RadialWavefuncti
 # Exact node counting
 
 
-def _strip(poly: list[Fraction]) -> list[Fraction]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _primitive(poly: list[int]) -> list[int]:
+    """poly divided by its content, the gcd of its coefficients."""
+    g = math.gcd(*poly)
+    return [c // g for c in poly]
 
 
-def _deriv(poly: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(poly)][1:]
+def _next_in_chain(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of -prem(a, b), or [] when b divides a.
+
+    The pseudo-remainder is taken with the positive multiplier
+    |lc(b)|^(deg a - deg b + 1), so it is a positive multiple of the
+    remainder and the signs that Sturm's theorem reads are unchanged.
+    """
+    r = a[:]
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    low = b[:-1]
+    for shift in range(len(a) - len(b), -1, -1):
+        top = sign * r.pop()
+        r = [scale * c for c in r]
+        for i, c in enumerate(low):
+            r[shift + i] -= top * c
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive([-c for c in r]) if r else []
 
 
-def _rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = num[:]
-    while len(num) >= len(den) and _strip(num):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        for i, c in enumerate(den):
-            num[i + shift] -= factor * c
-        num.pop()
-    return _strip(num)
-
-
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        a, b = b, _rem(a, b)
-    return a
-
-
-def _sign_at_zero(poly: list[Fraction]) -> int:
-    for c in poly:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
-
-
-def _sign_at_inf(poly: list[Fraction]) -> int:
-    return 0 if not poly else (1 if poly[-1] > 0 else -1)
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(signs[:-1], signs[1:]) if x * y < 0)
+def _variations(signs: list[bool]) -> int:
+    return sum(x != y for x, y in zip(signs[:-1], signs[1:]))
 
 
 def count_nodes(wf: RadialWavefunction) -> int:
     """Number of distinct zeros of the polynomial factor on (0, inf).
 
-    Runs a Sturm chain in exact rational arithmetic on the square-free part;
-    for blocks living in w = rho^2 the count is taken in w, where each
-    positive root is exactly one radial node.
+    The coefficients are floats, so one power of two turns them all into
+    integers without rounding.  The Sturm chain p, p', -prem(., .), ... then
+    runs over the integers, each element divided by its content.  It ends at
+    gcd(p, p'), and its sign variations at two points where p does not vanish
+    differ by the number of distinct roots between them, repeated roots
+    included once, so no square-free reduction is needed.  The points are
+    0+ (lowest nonzero coefficients) and +inf (leading coefficients).  For
+    blocks living in w = rho^2 the count is taken in w, where each positive
+    root is exactly one radial node.
     """
-    coeffs = list(wf.poly_physical)
+    coeffs = wf.poly_physical
     if wf.family == "II":
         coeffs = coeffs[::2]
-    poly = _strip([Fraction(c) for c in coeffs])
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max((q for _, q in ratios), default=1)  # all are powers of two
+    poly = [n * (den // q) for n, q in ratios]
+    while poly and poly[-1] == 0:
+        poly.pop()
     while poly and poly[0] == 0:  # rho = 0 is not in the open interval
         poly.pop(0)
     if len(poly) <= 1:
         return 0
-    poly = _square_free(poly)
-    chain = [poly, _strip(_deriv(poly))]
-    while chain[-1]:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
+    chain = [_primitive(poly),
+             _primitive([k * c for k, c in enumerate(poly)][1:])]
+    while len(chain[-1]) > 1:
+        nxt = _next_in_chain(chain[-2], chain[-1])
         if not nxt:
             break
         chain.append(nxt)
-    at_zero = _variations([_sign_at_zero(p) for p in chain])
-    at_inf = _variations([_sign_at_inf(p) for p in chain])
+    at_zero = _variations([next(c for c in p if c) > 0 for p in chain])
+    at_inf = _variations([p[-1] > 0 for p in chain])
     return at_zero - at_inf
-
-
-def _square_free(poly: list[Fraction]) -> list[Fraction]:
-    """Square-free part, so multiple roots cannot break the sign count."""
-    g = _gcd(poly[:], _strip(_deriv(poly)))
-    if len(g) <= 1:
-        return poly
-    out, rem = _divmod_exact(poly, g)
-    if rem:
-        raise NumericalError("square-free reduction left a remainder")
-    return out
-
-
-def _divmod_exact(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and _strip(num):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = factor
-        for i, c in enumerate(den):
-            num[i + shift] -= factor * c
-        num.pop()
-    return _strip(q), _strip(num)

@@ -369,6 +369,33 @@ def test_export_excited_branch_changes_sign_once(tmp_path, capsys):
     assert flips == 1
 
 
+@pytest.mark.parametrize("selector, cells", [
+    ("{d: 2, s: 1, branch: 0}", [(2, 1)]),
+    ("{d: 2}", [(2, 0), (2, 1)]),
+    ("{s: 1, branch: 0}", [(0, 1), (1, 1), (2, 1)]),
+    ("{family: II, d: 5}", []),  # never a cell the config lacks
+])
+def test_export_solves_only_selected_cells(tmp_path, capsys, monkeypatch,
+                                           selector, cells):
+    from qesmag import spectra
+
+    solved = []
+    original = spectra._cell_lines
+
+    def counted(job, d, s):
+        solved.append((d, s))
+        return original(job, d, s)
+
+    monkeypatch.setattr(spectra, "_cell_lines", counted)
+    body = SEXTIC_YAML.replace("d_list: [0]", "d_list: [0, 1, 2]") \
+        .replace("s_list: [0]", "s_list: [0, 1]") \
+        .replace("k2: -4.0", "k2: -30.0")
+    code = main(["export", "--config",
+                 _write(tmp_path, _export_yaml(body, selector, 0.1, 3.0))])
+    assert solved == cells
+    assert code == (0 if cells else 1)
+
+
 def test_export_unmatched_selector_fails(tmp_path, capsys):
     text = _export_yaml(SEXTIC_YAML, "{family: II, d: 5}", 0.1, 1.0)
     code = main(["export", "--config", _write(tmp_path, text)])
@@ -377,7 +404,9 @@ def test_export_unmatched_selector_fails(tmp_path, capsys):
 
 
 def test_export_unknown_selector_key(tmp_path, capsys):
-    text = _export_yaml(SEXTIC_YAML, "{color: red}", 0.1, 1.0)
-    code = main(["export", "--config", _write(tmp_path, text)])
-    assert code == 1
-    assert "export.selector.color" in capsys.readouterr().err
+    # checked before any cell is solved, whatever the other keys select
+    for selector in ("{color: red}", "{d: 9, color: red}"):
+        text = _export_yaml(SEXTIC_YAML, selector, 0.1, 1.0)
+        code = main(["export", "--config", _write(tmp_path, text)])
+        assert code == 1
+        assert "export.selector.color" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qesmag.qes_core import (
+    AdmissibilityError,
     CouplingTag,
     DomainError,
     FamilyI,
@@ -458,6 +459,34 @@ def test_assemble_reports_node_counts_within_degree():
             assert 0 <= ln.nodes <= ln.d
             # polynomial of every real line is scaled to a unit top coefficient
             assert ln.poly[-1] == pytest.approx(1.0, abs=1e-12)
+
+@pytest.mark.parametrize("tag, pair", [
+    (CHARGED, ParticlePair(m1=1.0, m2=3.0, e1=1.0, e2=3.0)),
+    (NEUTRAL, ParticlePair(m1=1.0, m2=2.0, e1=1.0, e2=-1.0)),
+])
+@pytest.mark.parametrize("k4, theta", [(-1.0, 0.0), (0.0, 0.2), (0.7, 0.1)])
+def test_family_ii_node_ladder_follows_branch_order(tag, pair, k4, theta):
+    # at the sextic field the whole block closes, and branch b of the
+    # ascending mu order has exactly b nodes
+    job = SpectrumJob(pot=FamilyII(theta=theta, k2=-60.0, k4=k4, k6=0.5),
+                      consts=derive_constants(pair), tag=tag,
+                      d_list=tuple(range(9)), s_list=(0, 1, 2))
+    lines, issues = assemble_spectrum(job)
+    assert issues == []
+    assert len(lines) == 3 * sum(d + 1 for d in range(9))
+    for ln in lines:
+        assert ln.real_branch
+        assert ln.nodes == ln.branch_index
+
+
+def test_assemble_rejects_inadmissible_coupling_case():
+    # e_c = (m2 e1 - m1 e2) / (m1 + m2) = 1/2, but the charged case needs 0
+    consts = derive_constants(ParticlePair(m1=1.0, m2=3.0, e1=1.0, e2=1.0))
+    job = SpectrumJob(pot=FamilyI(g_c=1.0), consts=consts, tag=CHARGED,
+                      d_list=(1,), s_list=(0,))
+    with pytest.raises(AdmissibilityError):
+        assemble_spectrum(job)
+
 
 def _count_blocks(monkeypatch, job):
     """Lines of a job and the number of qes_block calls made to assemble them."""

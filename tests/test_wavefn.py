@@ -1,9 +1,12 @@
 """Eigenvector extraction, zeta evaluation, norms, and node counting."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qesmag.qes_core import (
     CouplingTag,
@@ -247,3 +250,52 @@ def test_node_count_repeated_root_counted_once():
 
     squared = replace(wf, poly_physical=(1.0, -2.0, 1.0))  # (1 - rho)^2
     assert count_nodes(squared) == 1
+
+
+@pytest.mark.parametrize("family, poly", [
+    ("I", (-1.0, 0.0, 1.0)),                         # rho^2 - 1
+    ("I", (0.0, 0.0, -9.0, 0.0, 1.0)),               # rho^2 (rho^2 - 9)
+    ("II", (0.0, 0.0, -9.0, 0.0, 0.0, 0.0, 1.0)),    # w (w^2 - 9), w = rho^2
+    ("I", (0.25, -0.75, 0.0, 1.0)),                  # (rho + 1)(rho - 1/2)^2
+])
+def test_node_count_when_a_division_step_cancels_two_terms(family, poly):
+    # one subtraction of the remainder sequence zeroes two leading terms
+    wf = replace(build_wavefunction(_coulomb_block(1), -1.0), family=family,
+                 poly_physical=poly)
+    assert count_nodes(wf) == 1
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+_dyadic = st.builds(lambda m, j: Fraction(m, 2 ** j),
+                    st.integers(-12, 12), st.integers(0, 4))
+_positive_dyadic = st.builds(lambda m, j: Fraction(m, 2 ** j),
+                             st.integers(1, 12), st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.tuples(_dyadic, st.integers(1, 3)), max_size=4),
+       quadratics=st.lists(_positive_dyadic, max_size=2),
+       k=st.integers(-200, 200), family=st.sampled_from(["I", "II"]))
+def test_node_count_is_number_of_distinct_positive_roots(roots, quadratics,
+                                                         k, family):
+    # p = 2^k prod (x - r)^m prod (x^2 + c), in x = rho (I) or x = rho^2 (II)
+    poly = [Fraction(2) ** k]
+    for r, mult in roots:
+        for _ in range(mult):
+            poly = _times(poly, [-r, Fraction(1)])
+    for c in quadratics:
+        poly = _times(poly, [c, Fraction(0), Fraction(1)])
+    assume(all(Fraction(float(c)) == c for c in poly))
+    coeffs = [float(c) for c in poly]
+    if family == "II":
+        coeffs = [v for c in coeffs for v in (c, 0.0)][:-1]
+    wf = replace(build_wavefunction(_coulomb_block(1), -1.0), family=family,
+                 poly_physical=tuple(coeffs))
+    assert count_nodes(wf) == len({r for r, _ in roots if r > 0})
