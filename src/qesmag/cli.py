@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import yaml
 
@@ -35,8 +35,8 @@ from .qes_core import (
     derive_constants,
     effective_radial_problem,
 )
-from .spectra import (PaperVariants, SpectrumJob, SpectrumLine,
-                      assemble_spectrum, line_problem)
+from .spectra import (SpectrumJob, SpectrumLine, assemble_spectrum,
+                      line_problem)
 
 __all__ = [
     "ConfigError",
@@ -421,12 +421,10 @@ def _print_table(lines: Sequence[SpectrumLine], out) -> None:
 # Commands
 
 
-def _solve_lines(cfg: RunConfig, variants: PaperVariants,
-                 pot: Optional[PotentialSpec] = None):
+def _solve_lines(cfg: RunConfig, pot: Optional[PotentialSpec] = None):
     consts = derive_constants(cfg.pair)
     job = SpectrumJob(pot=pot if pot is not None else cfg.pot, consts=consts,
-                      tag=cfg.tag, d_list=cfg.d_list, s_list=cfg.s_list,
-                      variants=variants)
+                      tag=cfg.tag, d_list=cfg.d_list, s_list=cfg.s_list)
     lines, issues = assemble_spectrum(job)
     lines = sorted(lines, key=lambda ln: (ln.family, ln.d, ln.s,
                                           ln.branch_index,
@@ -434,10 +432,10 @@ def _solve_lines(cfg: RunConfig, variants: PaperVariants,
     return lines, issues, consts
 
 
-def run_solve(cfg: RunConfig, variants: PaperVariants,
-              out_path: Optional[str], out_format: str, out=None) -> int:
+def run_solve(cfg: RunConfig, out_path: Optional[str], out_format: str,
+              out=None) -> int:
     out = out if out is not None else sys.stdout
-    lines, issues, _ = _solve_lines(cfg, variants)
+    lines, issues, _ = _solve_lines(cfg)
     for msg in issues:
         print(f"note: {msg}", file=sys.stderr)
     if not lines:
@@ -460,11 +458,10 @@ def _oracle_grid(cfg: RunConfig) -> Optional[RadialGrid]:
                       points=cfg.oracle_points, spacing=GridSpacing.UNIFORM)
 
 
-def run_verify(cfg: RunConfig, variants: PaperVariants,
-               out_path: Optional[str], out_format: str,
+def run_verify(cfg: RunConfig, out_path: Optional[str], out_format: str,
                out=None) -> int:
     out = out if out is not None else sys.stdout
-    lines, issues, consts = _solve_lines(cfg, variants)
+    lines, issues, consts = _solve_lines(cfg)
     for msg in issues:
         print(f"note: {msg}", file=sys.stderr)
     if not lines:
@@ -503,8 +500,8 @@ def run_verify(cfg: RunConfig, variants: PaperVariants,
     return 0 if all_pass else 1
 
 
-def run_scan(cfg: RunConfig, variants: PaperVariants,
-             out_path: Optional[str], out_format: str, out=None) -> int:
+def run_scan(cfg: RunConfig, out_path: Optional[str], out_format: str,
+             out=None) -> int:
     out = out if out is not None else sys.stdout
     if cfg.scan is None:
         raise ConfigError("scan: section required for the scan command")
@@ -520,7 +517,7 @@ def run_scan(cfg: RunConfig, variants: PaperVariants,
     for value in values:
         pot_v = replace(cfg.pot, **{spec.parameter: value})
         try:
-            lines, _, _ = _solve_lines(cfg, variants, pot=pot_v)
+            lines, _, _ = _solve_lines(cfg, pot=pot_v)
         except QesError:
             lines = []
         seen = set()
@@ -566,8 +563,7 @@ def _selected(values: tuple[int, ...], selector: dict,
     return tuple(v for v in values if key not in selector or selector[key] == v)
 
 
-def run_export(cfg: RunConfig, variants: PaperVariants,
-               out_path: Optional[str], out_format: str,
+def run_export(cfg: RunConfig, out_path: Optional[str], out_format: str,
                out=None) -> int:
     out = out if out is not None else sys.stdout
     if cfg.export is None:
@@ -580,7 +576,7 @@ def run_export(cfg: RunConfig, variants: PaperVariants,
     # can hold its line
     cells = replace(cfg, d_list=_selected(cfg.d_list, selector, "d"),
                     s_list=_selected(cfg.s_list, selector, "s"))
-    lines, _, consts = _solve_lines(cells, variants)
+    lines, _, consts = _solve_lines(cells)
     matches = [ln for ln in lines if _match_selector(ln, selector)]
     if not matches:
         raise QesError(f"export.selector: no line matches "
@@ -629,19 +625,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in ("solve", "verify", "scan", "export"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--debug-paper-variants", action="store_true")
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"))
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        variants = PaperVariants.printed() if args.debug_paper_variants \
-            else PaperVariants()
         out_path = args.out if args.out else cfg.out_path
         out_format = args.format if args.format else cfg.out_format
         runner = {"solve": run_solve, "verify": run_verify,
                   "scan": run_scan, "export": run_export}[args.command]
-        return runner(cfg, variants, out_path, out_format)
+        return runner(cfg, out_path, out_format)
     except QesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class DerivedConstants:
     mu2: float
     q: float
     e_c: float
-    q_w: float
     omega_c: float
     Omega_q: float
     omega_q: float
@@ -140,13 +139,11 @@ def derive_constants(pair: ParticlePair) -> DerivedConstants:
     m_r = pair.m1 * pair.m2 / M
     q = pair.e1 + pair.e2
     e_c = mu2 * pair.e1 - mu1 * pair.e2
-    q_w = pair.e1 * mu2 ** 2 + pair.e2 * mu1 ** 2
     omega_c = q * pair.B / M
     Omega_q = pair.e1 * pair.B / (2.0 * m_r)
     omega_q = pair.e1 * pair.B * abs(mu2 - mu1) / m_r
     return DerivedConstants(M=M, m_r=m_r, mu1=mu1, mu2=mu2, q=q, e_c=e_c,
-                            q_w=q_w, omega_c=omega_c, Omega_q=Omega_q,
-                            omega_q=omega_q)
+                            omega_c=omega_c, Omega_q=Omega_q, omega_q=omega_q)
 
 
 class CouplingTag(Enum):
@@ -167,6 +164,9 @@ class CouplingCase:
 
 # lambda_conf = m_r * omega_param^2 / ratio in each coupling case.
 _CONF_RATIO = {CouplingTag.CHARGED_EC0: 8.0, CouplingTag.NEUTRAL_REST: 2.0}
+
+# Relative size of e_c (charged) or q (neutral) below which the case holds.
+ADMISSIBILITY_TOL = 1e-12
 
 
 def case_lambdas(tag: CouplingTag, consts: DerivedConstants,
@@ -195,8 +195,8 @@ def case_frequency(tag: CouplingTag, consts: DerivedConstants,
     return math.sqrt(_CONF_RATIO[tag] * lambda_conf / consts.m_r)
 
 
-def effective_radial_problem(consts: DerivedConstants, tag: CouplingTag,
-                             tol: float = 1e-12) -> CouplingCase:
+def effective_radial_problem(consts: DerivedConstants,
+                             tag: CouplingTag) -> CouplingCase:
     """Check the admissibility of the coupling case and return its lambdas.
 
     The charged case needs a vanishing coupling charge e_c (so the relative
@@ -205,24 +205,16 @@ def effective_radial_problem(consts: DerivedConstants, tag: CouplingTag,
     """
     charge_scale = max(1.0, abs(consts.q) + abs(consts.e_c))
     if tag is CouplingTag.CHARGED_EC0:
-        if abs(consts.e_c) > tol * charge_scale:
+        if abs(consts.e_c) > ADMISSIBILITY_TOL * charge_scale:
             raise AdmissibilityError(
                 f"charged case requires e_c = 0, got e_c = {consts.e_c}")
         return case_lambdas(tag, consts, consts.omega_c)
     if tag is CouplingTag.NEUTRAL_REST:
-        if abs(consts.q) > tol * charge_scale:
+        if abs(consts.q) > ADMISSIBILITY_TOL * charge_scale:
             raise AdmissibilityError(
                 f"neutral case requires total charge 0, got q = {consts.q}")
         return case_lambdas(tag, consts, consts.Omega_q)
     raise AdmissibilityError(f"unknown coupling tag {tag!r}")
-
-
-def effective_frequency(case: CouplingCase, m_r: float) -> float:
-    """Frequency omega_eff with lambda_conf = m_r omega_eff^2 / 8.
-
-    Equals omega_c in the charged case and 2 Omega_q in the neutral one.
-    """
-    return math.sqrt(8.0 * case.lambda_conf / m_r)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .qes_core import (
 __all__ = [
     "REALITY_TOL",
     "BranchEigen",
-    "PaperVariants",
     "block_eigenvalues",
     "eigenpairs",
     "quantization_residual_I",
@@ -83,26 +82,6 @@ class BranchEigen:
     nu: Optional[float]
     branch_index: int
     is_real: bool
-
-
-@dataclass(frozen=True)
-class PaperVariants:
-    """Switches selecting printed-formula variants for arbitration runs.
-
-    All default to False, i.e. the coefficient-matched forms.  The printed
-    variants are retained because they are the ones a reader would implement
-    from the displayed equations, and the oracle must be able to show they
-    fail.
-    """
-
-    iii_energy_printed: bool = False
-    ii_quantization_substituted: bool = False
-    iii_constraint_printed: bool = False
-
-    @classmethod
-    def printed(cls) -> "PaperVariants":
-        return cls(iii_energy_printed=True, ii_quantization_substituted=True,
-                   iii_constraint_printed=True)
 
 
 def _sorted_eigvals(matrix: np.ndarray) -> np.ndarray:
@@ -336,20 +315,17 @@ def _refine_root(residual, branch_index, lo, hi) -> float:
 
 
 def solve_quantized_field_II(pot: FamilyII, consts: DerivedConstants, s: int, d: int,
-                             tag: CouplingTag = CouplingTag.CHARGED_EC0,
-                             variants: PaperVariants = PaperVariants()) -> list[float]:
+                             tag: CouplingTag = CouplingTag.CHARGED_EC0) -> list[float]:
     """Case frequencies allowed by the sextic family's closed-form condition.
 
     The right-hand side 16 eta^2 - 16 tau (4d + 2 xi + 4) - 8 k2 m_r equals
     (omega m_r)^2 for the charged case and (2 Omega_q m_r)^2 for the neutral
-    one; a non-positive value means no admissible field (empty list).  The
-    printed-variant switch replaces (4d + 2 xi + 4) by (4d + 2 xi + 2).
+    one; a non-positive value means no admissible field (empty list).
     """
     dummy = case_lambdas(tag, consts, 0.0)
     a = ansatz_params(pot, dummy, consts, s, d)
-    shift = 2.0 if variants.ii_quantization_substituted else 4.0
     rhs = (16.0 * a.eta ** 2
-           - 16.0 * a.tau * (4.0 * d + 2.0 * a.xi + shift)
+           - 16.0 * a.tau * (4.0 * d + 2.0 * a.xi + 4.0)
            - 8.0 * pot.k2 * consts.m_r)
     if rhs <= 0.0:
         return []
@@ -364,13 +340,11 @@ def solve_quantized_field_II(pot: FamilyII, consts: DerivedConstants, s: int, d:
 
 def solve_constraints_III(pot: FamilyIII, consts: DerivedConstants, s: int, d: int,
                           branch_index: int,
-                          tag: CouplingTag = CouplingTag.CHARGED_EC0,
-                          variants: PaperVariants = PaperVariants()) -> tuple[float, float]:
+                          tag: CouplingTag = CouplingTag.CHARGED_EC0) -> tuple[float, float]:
     """Field fixed by k2 and the l2 value that closes one branch.
 
-    Returns (case frequency, required l2).  The coefficient-matched relation
-    is 2 l2 m_r = xi^2 - 2 eta tau - s^2 - mu_branch; the printed-variant
-    switch flips the sign of the 2 eta tau term.
+    Returns (case frequency, required l2) from the coefficient-matched
+    relation 2 l2 m_r = xi^2 - 2 eta tau - s^2 - mu_branch.
     """
     if pot.k2 <= 0.0:
         raise DomainError(
@@ -384,10 +358,8 @@ def solve_constraints_III(pot: FamilyIII, consts: DerivedConstants, s: int, d: i
     if abs(mu.imag) > REALITY_TOL * (1.0 + abs(mu)):
         raise DomainError(
             f"branch {branch_index} eigenvalue {mu} is not real; no real l2")
-    cross = 2.0 * a.eta * a.tau
-    if variants.iii_constraint_printed:
-        cross = -cross
-    l2 = (a.xi ** 2 - cross - float(s) ** 2 - mu.real) / (2.0 * consts.m_r)
+    l2 = ((a.xi ** 2 - 2.0 * a.eta * a.tau - float(s) ** 2 - mu.real)
+          / (2.0 * consts.m_r))
     return omega, l2
 
 
@@ -396,8 +368,7 @@ def solve_constraints_III(pot: FamilyIII, consts: DerivedConstants, s: int, d: i
 
 
 def relative_energy(ansatz: AnsatzParams, case: CouplingCase,
-                    consts: DerivedConstants, mu: float,
-                    variants: PaperVariants = PaperVariants()) -> float:
+                    consts: DerivedConstants, mu: float) -> float:
     """Relative-motion energy of one branch from the coefficient-matched forms."""
     if isinstance(mu, complex):
         if abs(mu.imag) > REALITY_TOL * (1.0 + abs(mu)):
@@ -413,10 +384,7 @@ def relative_energy(ansatz: AnsatzParams, case: CouplingCase,
         return (2.0 * ansatz.eta * (ansatz.xi + 1.0) / m_r
                 + 2.0 * ansatz.c * mu / m_r - rot)
     if ansatz.family == "III":
-        eta_sq = ansatz.eta ** 2 / m_r
-        if variants.iii_energy_printed:
-            eta_sq = ansatz.eta ** 2 / (2.0 * m_r)
-        return -0.5 * (s * case.lambda_rot + eta_sq)
+        return -0.5 * (s * case.lambda_rot + ansatz.eta ** 2 / m_r)
     raise DomainError(f"unknown family {ansatz.family!r}")
 
 
@@ -450,7 +418,6 @@ class SpectrumJob:
     tag: CouplingTag
     d_list: tuple[int, ...]
     s_list: tuple[int, ...]
-    variants: PaperVariants = PaperVariants()
 
 
 def line_problem(line, pot: PotentialSpec, consts: DerivedConstants):
@@ -494,8 +461,7 @@ def _finish_line(job: SpectrumJob, level: _Level, branch_index: int,
     case, block, branches = level
     ansatz = block.ansatz
     branch = branches[branch_index]
-    energy = relative_energy(ansatz, case, job.consts, branch.mu.real,
-                             job.variants)
+    energy = relative_energy(ansatz, case, job.consts, branch.mu.real)
     real = branch.is_real
     nodes = -1
     poly: tuple[float, ...] = ()
@@ -543,8 +509,7 @@ def _cell_lines(job: SpectrumJob, d: int, s: int) -> tuple[list[SpectrumLine], l
                         f"d={d} s={s}: branches {list(result.degenerate_branches)} "
                         f"admit every field; set a field strength to place them")
         elif isinstance(pot, FamilyII):
-            for omega in solve_quantized_field_II(pot, consts, s, d, tag,
-                                                  job.variants):
+            for omega in solve_quantized_field_II(pot, consts, s, d, tag):
                 level = _level(job, d, s, omega)
                 for branch in level.branches:
                     if not branch.is_real:
@@ -556,8 +521,7 @@ def _cell_lines(job: SpectrumJob, d: int, s: int) -> tuple[list[SpectrumLine], l
             level = None
             for b in range(d + 1):
                 try:
-                    omega, l2 = solve_constraints_III(pot, consts, s, d, b, tag,
-                                                      job.variants)
+                    omega, l2 = solve_constraints_III(pot, consts, s, d, b, tag)
                 except DomainError as exc:
                     issues.append(f"d={d} s={s} branch {b}: {exc}")
                     continue

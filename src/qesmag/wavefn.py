@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 EIGENVECTOR_TOL = 1e-8
+# Relative accuracy asked of each segment of the norm quadrature.
+NORM_EPSREL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _density_peak(a: AnsatzParams) -> float:
     return (w + math.sqrt(w ** 2 + 16.0 * a.eta * a.tau)) / (4.0 * a.eta)
 
 
-def normalize(wf: RadialWavefunction, epsrel: float = 1e-11) -> RadialWavefunction:
+def normalize(wf: RadialWavefunction) -> RadialWavefunction:
     """Return a copy with norm = sqrt(integral of zeta^2 rho drho).
 
     The integral is split at the density peak so the adaptive quadrature sees
@@ -158,7 +160,7 @@ def normalize(wf: RadialWavefunction, epsrel: float = 1e-11) -> RadialWavefuncti
     for lo, hi in zip(edges[:-1], edges[1:]):
         # epsabs = 0 forces pure relative convergence; the default absolute
         # floor makes quad stop early and report errors above our budget
-        val, abserr = quad(integrand, lo, hi, epsabs=0.0, epsrel=epsrel,
+        val, abserr = quad(integrand, lo, hi, epsabs=0.0, epsrel=NORM_EPSREL,
                            limit=200)
         total += val
         err += abserr

@@ -36,7 +36,6 @@ from qesmag.sl2_rep import (
     commutator_defect,
 )
 from qesmag.spectra import (
-    PaperVariants,
     SpectrumJob,
     assemble_spectrum,
     relative_energy,
@@ -140,7 +139,8 @@ def test_criterion_4_sextic_fixture():
     assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_5_inverse_square_fixture_and_variant_failure(tmp_path):
+def test_criterion_5_inverse_square_fixture_and_variant_failure(
+        tmp_path, inject_printed_formulas):
     start = time.perf_counter()
     consts = derive_constants(ParticlePair(m1=2.0, m2=2.0, e1=1.0, e2=1.0))
     assert consts.m_r == 1.0
@@ -159,19 +159,7 @@ def test_criterion_5_inverse_square_fixture_and_variant_failure(tmp_path):
     wf = build_wavefunction(qes_block(a), 0.0)
     assert ode_residual(wf, pot_closed, consts, case, -0.5) < 1e-12
 
-    # printed-formula variant: E = -1/4 and a sign-flipped l2 constraint
-    variant_lines, _ = assemble_spectrum(
-        SpectrumJob(pot=pot, consts=consts, tag=CHARGED, d_list=(0,),
-                    s_list=(0,), variants=PaperVariants.printed()))
-    vline = variant_lines[0]
-    assert vline.E_rho == -0.25
-    pot_variant = FamilyIII(l1=-1.0, l2=vline.quantized_value, l4=0.5,
-                            k2=1.0)
-    a_v = ansatz_params(pot_variant, case, consts, 0, 0)
-    wf_v = build_wavefunction(qes_block(a_v), 0.0)
-    assert ode_residual(wf_v, pot_variant, consts, case, vline.E_rho) > 0.1
-
-    # same arbitration through the CLI flag
+    # CLI on the coefficient-matched formulas
     cfg = tmp_path / "fixture3.yaml"
     cfg.write_text(
         "pair: {m1: 2.0, m2: 2.0, e1: 1.0, e2: 1.0}\n"
@@ -179,8 +167,22 @@ def test_criterion_5_inverse_square_fixture_and_variant_failure(tmp_path):
         "potential: {family: III, l1: -1.0, l4: 0.5, k2: 1.0}\n"
         "d_list: [0]\ns_list: [0]\n")
     assert main(["verify", "--config", str(cfg)]) == 0
-    assert main(["verify", "--config", str(cfg),
-                 "--debug-paper-variants"]) == 1
+
+    # printed formulas: E = -1/4 and a sign-flipped l2 constraint
+    inject_printed_formulas()
+    variant_lines, _ = assemble_spectrum(
+        SpectrumJob(pot=pot, consts=consts, tag=CHARGED, d_list=(0,),
+                    s_list=(0,)))
+    vline = variant_lines[0]
+    assert vline.quantized_value == 1.125
+    assert vline.E_rho == -0.25
+    pot_variant = FamilyIII(l1=-1.0, l2=vline.quantized_value, l4=0.5,
+                            k2=1.0)
+    a_v = ansatz_params(pot_variant, case, consts, 0, 0)
+    wf_v = build_wavefunction(qes_block(a_v), 0.0)
+    assert ode_residual(wf_v, pot_variant, consts, case, vline.E_rho) > 0.1
+    # and the CLI exit code shows the failure
+    assert main(["verify", "--config", str(cfg)]) == 1
     assert time.perf_counter() - start < 30.0
 
 

@@ -1,13 +1,14 @@
 """Config loading, serialization round-trips, and command exit codes."""
 
 import csv
+import importlib
 import io
 import json
-import math
 import os
 
 import pytest
 
+import qesmag
 from qesmag.cli import (
     ConfigError,
     load_config,
@@ -249,9 +250,10 @@ def test_verify_unverified_when_oracle_disabled(tmp_path, capsys):
     assert "unverified" in out
 
 
-def test_verify_printed_variants_fail(tmp_path, capsys):
-    code = main(["verify", "--config", _write(tmp_path, INVERSE_SQUARE_YAML),
-                 "--debug-paper-variants"])
+def test_verify_printed_variants_fail(tmp_path, capsys,
+                                     inject_printed_formulas):
+    inject_printed_formulas()
+    code = main(["verify", "--config", _write(tmp_path, INVERSE_SQUARE_YAML)])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
@@ -410,3 +412,38 @@ def test_export_unknown_selector_key(tmp_path, capsys):
         code = main(["export", "--config", _write(tmp_path, text)])
         assert code == 1
         assert "export.selector.color" in capsys.readouterr().err
+
+# ---------------------------------------------------------------------------
+# supported surface
+
+
+def test_removed_debug_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", _write(tmp_path, INVERSE_SQUARE_YAML),
+              "--debug-paper-variants"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", [
+    "qesmag", "qesmag.cli", "qesmag.oracle", "qesmag.qes_core",
+    "qesmag.sl2_rep", "qesmag.spectra", "qesmag.wavefn"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_package_exports_the_supported_api():
+    assert sorted(qesmag.__all__) == sorted([
+        "ParticlePair", "FamilyI", "FamilyII", "FamilyIII",
+        "CouplingTag", "CouplingCase",
+        "derive_constants", "effective_radial_problem", "case_lambdas",
+        "case_frequency", "ansatz_params",
+        "SpectrumJob", "SpectrumLine", "assemble_spectrum", "line_problem",
+        "cross_validate", "OracleReport", "ode_residual",
+        "RadialWavefunction",
+        "QesError", "DomainError", "FallToCentreError",
+        "DegenerateParameterError", "AdmissibilityError", "NumericalError",
+    ])
+    assert len(set(qesmag.__all__)) == len(qesmag.__all__)

@@ -8,7 +8,6 @@ import pytest
 
 from qesmag.qes_core import (
     AdmissibilityError,
-    CouplingCase,
     CouplingTag,
     DegenerateParameterError,
     DomainError,
@@ -19,13 +18,12 @@ from qesmag.qes_core import (
     ParticlePair,
     ansatz_params,
     block_entries,
-    canonical_operator,
     canonical_terms,
+    case_frequency,
     case_lambdas,
     check_polynomial_invariance,
     coulomb_strength,
     derive_constants,
-    effective_frequency,
     effective_radial_problem,
     gauge_rotated_operator,
     invariance_check,
@@ -106,10 +104,27 @@ def test_case_admissibility_rejections():
 
 def test_effective_frequency_round_trip():
     c = derive_constants(ParticlePair(m1=1.0, m2=1.0, e1=1.0, e2=1.0))
-    case = case_lambdas(CouplingTag.CHARGED_EC0, c, 3.0)
-    assert effective_frequency(case, c.m_r) == pytest.approx(3.0, rel=1e-15)
-    case_n = case_lambdas(CouplingTag.NEUTRAL_REST, c, 3.0)
-    assert effective_frequency(case_n, c.m_r) == pytest.approx(6.0, rel=1e-15)
+    for tag in CouplingTag:
+        conf = case_lambdas(tag, c, 3.0).lambda_conf
+        assert case_frequency(tag, c, conf) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_rotation_frequency_of_each_case():
+    # unequal masses, so the neutral rotation term does not vanish
+    m1, m2, e1, B = 1.0, 3.0, 2.0, 1.5
+    M, m_r = m1 + m2, m1 * m2 / (m1 + m2)
+    neutral = derive_constants(ParticlePair(m1=m1, m2=m2, e1=e1, e2=-e1, B=B))
+    expected = e1 * B * abs(m1 - m2) / (M * m_r)
+    assert neutral.omega_q == pytest.approx(expected, rel=1e-15)
+    for case in (case_lambdas(CouplingTag.NEUTRAL_REST, neutral,
+                              neutral.Omega_q),
+                 effective_radial_problem(neutral, CouplingTag.NEUTRAL_REST)):
+        assert case.lambda_rot == pytest.approx(neutral.omega_q, rel=1e-15)
+        assert case.lambda_rot == pytest.approx(expected, rel=1e-15)
+    e2 = e1 * m2 / m1  # e_c = 0
+    charged = derive_constants(ParticlePair(m1=m1, m2=m2, e1=e1, e2=e2, B=B))
+    case = effective_radial_problem(charged, CouplingTag.CHARGED_EC0)
+    assert case.lambda_rot == pytest.approx((e1 + e2) * B / M, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from qesmag.qes_core import (
 from qesmag import spectra
 from qesmag.sl2_rep import apply_diff_operator
 from qesmag.spectra import (
-    PaperVariants,
     SpectrumJob,
     assemble_spectrum,
     block_eigenvalues,
@@ -33,7 +32,7 @@ from qesmag.spectra import (
     solve_quantized_field_I,
     solve_quantized_field_II,
 )
-from qesmag.wavefn import build_wavefunction, count_nodes
+from qesmag.wavefn import build_wavefunction
 
 CHARGED = CouplingTag.CHARGED_EC0
 NEUTRAL = CouplingTag.NEUTRAL_REST
@@ -276,13 +275,6 @@ def test_sextic_no_admissible_field():
     assert solve_quantized_field_II(FamilyII(k6=0.5), consts, 0, 0) == []
 
 
-def test_sextic_variant_shifts_root():
-    consts = _consts(m1=2.0)
-    printed = solve_quantized_field_II(FamilyII(k6=0.5, k2=-4.0), consts,
-                                       0, 0, variants=PaperVariants.printed())
-    assert printed == [math.sqrt(24.0)]
-
-
 def test_sextic_strong_quartic_term_opens_window():
     consts = _consts(m1=2.0)
     roots = solve_quantized_field_II(FamilyII(k6=0.5, k4=8.0), consts, 0, 0)
@@ -317,13 +309,6 @@ def test_constraints_fixture():
                                       consts, 0, 0, 0)
     assert omega == pytest.approx(math.sqrt(8.0), rel=1e-15)
     assert l2 == -0.875
-
-
-def test_constraints_printed_variant_flips_cross_term():
-    consts = _consts(m1=2.0)
-    _, l2 = solve_constraints_III(FamilyIII(l1=-1.0, l4=0.5, k2=1.0), consts,
-                                  0, 0, 0, variants=PaperVariants.printed())
-    assert l2 == 1.125
 
 
 def test_constraints_without_coulomb_term():
@@ -367,7 +352,7 @@ def test_energy_coulomb_level():
                                                                    rel=1e-14)
 
 
-def test_energy_inverse_square_fixture_and_variant():
+def test_energy_inverse_square_fixture():
     consts = _consts(m1=2.0)
     omega, l2 = solve_constraints_III(FamilyIII(l1=-1.0, l4=0.5, k2=1.0),
                                       consts, 0, 0, 0)
@@ -375,8 +360,6 @@ def test_energy_inverse_square_fixture_and_variant():
     a = ansatz_params(FamilyIII(l1=-1.0, l2=l2, l4=0.5, k2=1.0), case,
                       consts, 0, 0)
     assert relative_energy(a, case, consts, 0.0) == -0.5
-    assert relative_energy(a, case, consts, 0.0,
-                           variants=PaperVariants.printed()) == -0.25
 
 
 def test_energy_rejects_truly_complex_branch():
@@ -385,14 +368,6 @@ def test_energy_rejects_truly_complex_branch():
     a = ansatz_params(FamilyIII(l1=2.0, l4=0.5, k2=2.0), case, consts, 0, 1)
     with pytest.raises(DomainError):
         relative_energy(a, case, consts, complex(-1.0, math.sqrt(3.0)))
-
-
-def test_variant_switches_all_printed():
-    v = PaperVariants.printed()
-    assert v.iii_energy_printed
-    assert v.ii_quantization_substituted
-    assert v.iii_constraint_printed
-    assert PaperVariants() != v
 
 
 # ---------------------------------------------------------------------------
